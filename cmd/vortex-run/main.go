@@ -8,8 +8,7 @@
 //	vortex-run [-config 4c8w16t] [-kernel sgemm] [-lws 0] [-scale 1.0]
 //	           [-mapper ours|lws=1|lws=32] [-sched rr|gto|oldest|2lev]
 //	           [-mshrs 0] [-l1 16k4w] [-prefetch off|nextline]
-//	           [-seed 42] [-compare] [-tick-engine] [-batch-exec=false]
-//	           [-batch-mem=false]
+//	           [-seed 42] [-compare] [-tick-engine]
 package main
 
 import (
@@ -39,8 +38,6 @@ func main() {
 	l1geom := flag.String("l1", mem.DefaultL1Geometry(), "L1 geometry (<size-KiB>k<ways>w, e.g. 16k4w)")
 	prefetch := flag.String("prefetch", "off", "L1 prefetch policy: off or nextline")
 	tickEngine := flag.Bool("tick-engine", false, "use the legacy per-cycle tick loop instead of the event-driven device engine (identical results, differential oracle)")
-	batchExec := flag.Bool("batch-exec", true, "execute lockstep warp cohorts with fused batched kernels; false selects the per-warp oracle path (identical results)")
-	batchMem := flag.Bool("batch-mem", true, "batch loads/stores of lockstep cohorts through affine address templates; false selects the per-warp oracle path (identical results)")
 	cacheStats := flag.Bool("cache-stats", false, "print the campaign-engine cache counters (program cache, input memo) after the run")
 	flag.Parse()
 
@@ -63,7 +60,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vortex-run:", err)
 		os.Exit(1)
 	}
-	dev := devOpts{workers: *workers, commitWorkers: *commitWorkers, sched: schedPol, tickEngine: *tickEngine, batchExec: *batchExec, batchMem: *batchMem,
+	dev := devOpts{workers: *workers, commitWorkers: *commitWorkers, sched: schedPol, tickEngine: *tickEngine,
 		mshrs: *mshrs, l1Size: l1Size, l1Ways: l1Ways, prefetch: pfetch}
 	if err := run(*cfgName, *kernel, *lws, *mapper, *scale, *seed, *compare, dev); err != nil {
 		fmt.Fprintln(os.Stderr, "vortex-run:", err)
@@ -91,15 +88,13 @@ func mapperByName(name string) (core.Mapper, error) {
 
 // devOpts bundles the engine knobs forwarded to every device built by this
 // command: host parallelism, commit sharding, the warp scheduler policy,
-// the tick-engine fallback, the batched-execution toggle and the
-// memory-side axes (MSHR bound, L1 geometry, prefetch policy).
+// the tick-engine fallback and the memory-side axes (MSHR bound, L1
+// geometry, prefetch policy).
 type devOpts struct {
 	workers        int
 	commitWorkers  int
 	sched          sim.SchedPolicy
 	tickEngine     bool
-	batchExec      bool
-	batchMem       bool
 	mshrs          int
 	l1Size, l1Ways int
 	prefetch       mem.PrefetchPolicy
@@ -120,8 +115,6 @@ func deviceConfig(hw core.HWInfo, dev devOpts) sim.Config {
 	}
 	cfg.Sched = dev.sched
 	cfg.TickEngine = dev.tickEngine
-	cfg.BatchExec = dev.batchExec
-	cfg.BatchMem = dev.batchMem
 	cfg.Mem.L1.MSHRs = dev.mshrs
 	cfg.Mem.L2.MSHRs = dev.mshrs
 	if dev.l1Size > 0 {

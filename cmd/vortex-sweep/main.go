@@ -108,8 +108,6 @@ type campaignFlags struct {
 	simWorkers    *int
 	commitWorkers *int
 	tickEngine    *bool
-	batchExec     *bool
-	batchMem      *bool
 }
 
 func addCampaignFlags(fs *flag.FlagSet) *campaignFlags {
@@ -128,8 +126,6 @@ func addCampaignFlags(fs *flag.FlagSet) *campaignFlags {
 		simWorkers:    fs.Int("sim-workers", 0, "core-parallel threads per simulation (0 = auto-divide CPUs, <0 = sequential)"),
 		commitWorkers: fs.Int("commit-workers", 0, "commit-phase sharding per L2 bank/DRAM channel per simulation (0 = follow -sim-workers, 1 = global commit)"),
 		tickEngine:    fs.Bool("tick-engine", false, "run every simulation on the legacy per-cycle tick loop instead of the event-driven device engine (identical records, differential oracle)"),
-		batchExec:     fs.Bool("batch-exec", true, "execute lockstep warp cohorts with fused batched kernels; false selects the per-warp oracle path (identical records)"),
-		batchMem:      fs.Bool("batch-mem", true, "batch loads/stores of lockstep cohorts through affine address templates; false selects the per-warp oracle path (identical records)"),
 	}
 }
 
@@ -242,8 +238,6 @@ func (cf *campaignFlags) options() (sweep.Options, error) {
 		SimWorkers:    *cf.simWorkers,
 		CommitWorkers: *cf.commitWorkers,
 		TickEngine:    *cf.tickEngine,
-		NoBatchExec:   !*cf.batchExec,
-		NoBatchMem:    !*cf.batchMem,
 	}, nil
 }
 

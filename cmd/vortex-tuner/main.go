@@ -12,7 +12,7 @@
 //	             [-strategy exhaustive|hillclimb]
 //	             [-sched rr|gto|oldest|2lev|all]
 //	             [-mshrs 0,4] [-l1 16k4w,32k8w] [-prefetch off,nextline]
-//	             [-seed 42] [-tick-engine] [-batch-exec=false]
+//	             [-seed 42] [-tick-engine]
 package main
 
 import (
@@ -43,11 +43,9 @@ func main() {
 	workers := flag.Int("workers", 0, "host threads simulating cores in parallel per probe (0 = all CPUs, 1 = sequential)")
 	commitWorkers := flag.Int("commit-workers", 0, "commit-phase sharding per L2 bank/DRAM channel (0 = follow -workers, 1 = global single-threaded commit)")
 	tickEngine := flag.Bool("tick-engine", false, "probe on the legacy per-cycle tick loop instead of the event-driven device engine (identical results, differential oracle)")
-	batchExec := flag.Bool("batch-exec", true, "execute lockstep warp cohorts with fused batched kernels; false selects the per-warp oracle path (identical results)")
-	batchMem := flag.Bool("batch-mem", true, "batch loads/stores of lockstep cohorts through affine address templates; false selects the per-warp oracle path (identical results)")
 	flag.Parse()
 
-	if err := run(*cfgName, *kernel, *scale, *strategy, *sched, *mshrsCSV, *l1CSV, *prefetchCSV, *seed, *workers, *commitWorkers, *tickEngine, *batchExec, *batchMem); err != nil {
+	if err := run(*cfgName, *kernel, *scale, *strategy, *sched, *mshrsCSV, *l1CSV, *prefetchCSV, *seed, *workers, *commitWorkers, *tickEngine); err != nil {
 		fmt.Fprintln(os.Stderr, "vortex-tuner:", err)
 		os.Exit(1)
 	}
@@ -63,7 +61,7 @@ type axisPoint struct {
 	prefetch       mem.PrefetchPolicy
 }
 
-func run(cfgName, kernel string, scale float64, strategy, schedName, mshrsCSV, l1CSV, prefetchCSV string, seed int64, workers, commitWorkers int, tickEngine, batchExec, batchMem bool) error {
+func run(cfgName, kernel string, scale float64, strategy, schedName, mshrsCSV, l1CSV, prefetchCSV string, seed int64, workers, commitWorkers int, tickEngine bool) error {
 	hw, err := core.ParseName(cfgName)
 	if err != nil {
 		return err
@@ -82,8 +80,6 @@ func run(cfgName, kernel string, scale float64, strategy, schedName, mshrsCSV, l
 		}
 		cfg.Sched = pt.sched
 		cfg.TickEngine = tickEngine
-		cfg.BatchExec = batchExec
-		cfg.BatchMem = batchMem
 		cfg.Mem.L1.MSHRs = pt.mshrs
 		cfg.Mem.L2.MSHRs = pt.mshrs
 		if pt.l1Size > 0 {

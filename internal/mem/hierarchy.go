@@ -539,32 +539,6 @@ func (h *Hierarchy) Reset() {
 // of the emitted lines, which is the old O(n^2) behaviour at worst. A line
 // is in or out of the window independently of visit order, so the emitted
 // sequence is identical to the naive scan's.
-// CoalesceTemplate derives the line list of an address vector that equals a
-// previously coalesced vector shifted by one constant delta, without
-// re-running Coalesce: leader is the leader's line list (Coalesce output)
-// and the result is each entry plus delta, in order, written into out.
-//
-// The derive-or-fallback contract: ok is true iff delta is line-aligned
-// (delta % lineSize == 0). Then addr -> addr+delta maps every address of a
-// line to the same shifted line — line(a+d) = line(a)+d mod 2^32, because
-// both line(a) and d are multiples of the line size and the sub-line offset
-// cannot carry — and the mapping is a bijection on line indices, so the
-// shifted list preserves the leader's dedup and first-touch order exactly.
-// With a non-aligned delta two leader addresses of one line can straddle a
-// mate line boundary; ok is false, out is untouched, and the caller must
-// fall back to a direct Coalesce of the mate's addresses. Verified against
-// Coalesce by the property/fuzz harness in coalesce_template_test.go.
-func CoalesceTemplate(leader []uint32, delta uint32, lineShift uint, out []uint32) ([]uint32, bool) {
-	if delta&(1<<lineShift-1) != 0 {
-		return out, false
-	}
-	out = out[:0]
-	for _, line := range leader {
-		out = append(out, line+delta)
-	}
-	return out, true
-}
-
 func Coalesce(addrs []uint32, mask uint64, lineShift uint, out []uint32) []uint32 {
 	out = out[:0]
 	var base uint32 // window anchor (line index); valid once haveBase

@@ -146,34 +146,3 @@ func (m *Memory) ReadBytesInto(dst []byte, addr uint32) error {
 	copy(dst, m.data[addr:])
 	return nil
 }
-
-// ReadWordsStrided loads n consecutive little-endian 32-bit words starting
-// at addr into dst[start], dst[start+stride], ... — the bulk fast path for
-// a unit-stride warp load landing in a lane-major register file (one bounds
-// check for the whole span instead of one per lane; a flat copy is
-// impossible because the destination words are strided). n must be small
-// enough that n*4 does not overflow uint32 (callers pass lane counts).
-func (m *Memory) ReadWordsStrided(addr uint32, n int, dst []uint32, start, stride int) bool {
-	if n <= 0 || !m.InBounds(addr, uint32(n)*4) {
-		return false
-	}
-	src := m.data[addr : addr+uint32(n)*4]
-	for i := 0; i < n; i++ {
-		dst[start+i*stride] = binary.LittleEndian.Uint32(src[i*4:])
-	}
-	return true
-}
-
-// WriteWordsStrided stores n little-endian 32-bit words gathered from
-// src[start], src[start+stride], ... to consecutive addresses starting at
-// addr — the store half of the bulk fast path.
-func (m *Memory) WriteWordsStrided(addr uint32, n int, src []uint32, start, stride int) bool {
-	if n <= 0 || !m.InBounds(addr, uint32(n)*4) {
-		return false
-	}
-	dst := m.data[addr : addr+uint32(n)*4]
-	for i := 0; i < n; i++ {
-		binary.LittleEndian.PutUint32(dst[i*4:], src[start+i*stride])
-	}
-	return true
-}

@@ -305,9 +305,11 @@ func diffCoreStats(a, b sim.CoreStats) sim.CoreStats {
 
 func diffCacheStats(a, b mem.CacheStats) mem.CacheStats {
 	return mem.CacheStats{
-		Accesses:   a.Accesses - b.Accesses,
-		Hits:       a.Hits - b.Hits,
-		Misses:     a.Misses - b.Misses,
-		Writebacks: a.Writebacks - b.Writebacks,
+		Accesses:       a.Accesses - b.Accesses,
+		Hits:           a.Hits - b.Hits,
+		Misses:         a.Misses - b.Misses,
+		Writebacks:     a.Writebacks - b.Writebacks,
+		PrefetchIssued: a.PrefetchIssued - b.PrefetchIssued,
+		PrefetchHits:   a.PrefetchHits - b.PrefetchHits,
 	}
 }

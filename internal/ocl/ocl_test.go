@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/core"
+	"repro/internal/mem"
 	"repro/internal/sim"
 	"repro/internal/trace"
 )
@@ -37,6 +38,13 @@ func runVecadd(t *testing.T, cfg sim.Config, gws, lws int) *LaunchResult {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return runVecaddOn(t, d, gws, lws)
+}
+
+// runVecaddOn is runVecadd on an existing device, over fresh buffers.
+func runVecaddOn(t *testing.T, d *Device, gws, lws int) *LaunchResult {
+	t.Helper()
+	cfg := d.Sim().Config()
 	a := make([]float32, gws)
 	b := make([]float32, gws)
 	for i := range a {
@@ -160,6 +168,36 @@ func TestLaunchReportFields(t *testing.T) {
 	res = runVecadd(t, cfg, 128, 64)
 	if res.Regime != core.RegimeOver || res.WarpsActivated != 1 {
 		t.Errorf("lws=64 report: regime=%v warps=%d", res.Regime, res.WarpsActivated)
+	}
+}
+
+// TestLaunchCacheStatsIncludePrefetch pins the launch report's cache
+// deltas to the hierarchy counters: on a next-line prefetching device the
+// second of two launches must report exactly the prefetch fills and hits
+// the hierarchy counted across it, not the lifetime totals and not zero.
+func TestLaunchCacheStatsIncludePrefetch(t *testing.T) {
+	cfg := sim.DefaultConfig(1, 2, 4)
+	cfg.Mem.Prefetch = mem.PrefetchNextLine
+	d, err := NewDevice(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	hier := d.Sim().Hierarchy()
+	runVecaddOn(t, d, 128, 1)
+	before := hier.TotalL1Stats()
+	res := runVecaddOn(t, d, 128, 1)
+	after := hier.TotalL1Stats()
+	wantIssued := after.PrefetchIssued - before.PrefetchIssued
+	wantHits := after.PrefetchHits - before.PrefetchHits
+	if before.PrefetchIssued == 0 || wantIssued == 0 || wantHits == 0 {
+		t.Fatalf("nextline device prefetched nothing: before %+v, after %+v", before, after)
+	}
+	if res.L1.PrefetchIssued != wantIssued || res.L1.PrefetchHits != wantHits {
+		t.Errorf("launch L1 prefetch issued/hits = %d/%d, hierarchy delta %d/%d",
+			res.L1.PrefetchIssued, res.L1.PrefetchHits, wantIssued, wantHits)
+	}
+	if res.L1.Accesses != after.Accesses-before.Accesses {
+		t.Errorf("launch L1 accesses = %d, hierarchy delta %d", res.L1.Accesses, after.Accesses-before.Accesses)
 	}
 }
 

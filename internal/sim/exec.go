@@ -404,11 +404,8 @@ func (s *Sim) executeMem(c *simCore, wid int, w *warp, in isa.Inst) (uint64, err
 
 // memTiming walks one memory instruction's coalesced line requests through
 // the hierarchy and applies the LSU/MSHR and statistics side effects — the
-// timing half of executeMem, shared verbatim by the batched-memory replay
-// (finishBatchedMem), which must produce the same completion cycles, MSHR
-// allocations and deferred-commit records as the per-warp path. Returns the
-// load completion cycle (sequential engines; the parallel engine patches it
-// at commit instead).
+// timing half of executeMem. Returns the load completion cycle (sequential
+// engines; the parallel engine patches it at commit instead).
 func (s *Sim) memTiming(c *simCore, wid, rd int, isStore, isLoad, fp bool, lines []uint32) uint64 {
 	ports := s.cfg.LSUPorts
 	var done uint64

@@ -65,35 +65,7 @@ type warp struct {
 	wakePC    uint32 // pc the cache was computed for (safety cross-check)
 	wake      uint64 // earliest cycle the registers are ready
 
-	// Batched-execution state (exec_batch.go): the instruction at batchPC
-	// was already executed functionally as part of a uniform-warp cohort;
-	// when the scheduler picks this warp at that pc, finishBatched replays
-	// the per-warp issue bookkeeping instead of re-executing. batchDst and
-	// batchLat carry the instruction's writeback class and latency,
-	// computed once per cohort so the replay skips the opcode switches.
-	// Cleared at issue and on warp reset.
-	batched  bool
-	batchDst uint8 // batchDstNone/Int/FP/Mem: which replay path finishes the issue
-	batchRd  uint8 // destination register of the pre-executed instruction
-	batchPC  uint32
-	batchLat uint32 // completion latency added to the replay's issue cycle
-
-	// Batched-memory replay state (batchDst == batchDstMem): the mate's
-	// lane addresses are the core's memory template shifted by
-	// batchMemDelta; batchGen must match the template's generation or the
-	// template was overwritten by a later cohort and the mate re-executes
-	// normally. Only meaningful while batched is set.
-	batchGen      uint64
-	batchMemDelta uint32
 }
-
-// Writeback classes for warp.batchDst.
-const (
-	batchDstNone = uint8(iota) // no register write (rd == x0)
-	batchDstInt                // pendI[rd]
-	batchDstFP                 // pendF[rd]
-	batchDstMem                // memory replay through the core's memTemplate
-)
 
 type barrier struct {
 	arrived int
@@ -133,34 +105,6 @@ type memDefer struct {
 	missDone [64]uint64
 }
 
-// memTemplate captures a memory cohort leader's decoded operation, lane
-// address vector and coalesced line list at cohort formation, so congruent
-// mates replay through fused kernels (exec_batch.go) without re-decoding,
-// re-validating or re-coalescing. One template per core suffices: the LSU
-// admits one memory instruction per core per cycle, and gen — bumped per
-// cohort — invalidates marks left over when a later cohort overwrites the
-// template before every mate of the earlier one drained (such mates fall
-// back to normal execution).
-type memTemplate struct {
-	gen     uint64
-	op      isa.Op
-	rd      uint8
-	rs2     uint8
-	size    uint32
-	isStore bool
-	fp      bool // FLW/FSW: the float register file holds the data
-	// unit marks the contiguous bulk-copy fast path: full thread mask,
-	// 32-bit access, lane addresses base + 4*lane — one bounds check and
-	// one tight copy loop instead of per-lane accesses.
-	unit bool
-	base uint32 // lane-0 address when unit
-
-	minA, maxA uint32 // extremes of the leader's active-lane addresses
-	nLines     int
-	addrs      [64]uint32 // leader lane addresses (copied: addrBuf is reused)
-	lines      [64]uint32 // leader line list (copied: lineBuf is reused)
-}
-
 type simCore struct {
 	id    int
 	warps []warp
@@ -194,14 +138,11 @@ type simCore struct {
 	stallFrom uint64
 	stats     CoreStats
 
-	// Per-core scratch for the coalescing path and the batched-execution
-	// cohort span, preallocated so the issue path never allocates and cores
-	// can execute concurrently.
+	// Per-core scratch for the coalescing path, preallocated so the issue
+	// path never allocates and cores can execute concurrently.
 	addrBuf [64]uint32
 	lineBuf []uint32
-	cohort  []*warp
 	md      memDefer
-	memT    memTemplate
 }
 
 // Sim is one device instance. Memory and the cache hierarchy are injected
@@ -225,8 +166,6 @@ type Sim struct {
 	fullMask uint64
 	maxFU    uint64 // cached Lat.max(): the longest FU latency, for stall attribution
 	par      bool   // a parallel run is in flight: defer shared-memory timing
-	batch    bool   // cached cfg.BatchExec && !cfg.ScanSched (the scan oracle is always per-warp)
-	batchMem bool   // cached cfg.BatchMem && batch: memory cohorts need the heap engine too
 	mshrs    int    // cached cfg.Mem.L1.MSHRs: per-core outstanding-miss bound (0 = unbounded)
 
 	// Sharded-commit scratch (parallel engine), reused across cycles: the
@@ -260,8 +199,6 @@ func New(cfg Config, memory *mem.Memory, hier *mem.Hierarchy) (*Sim, error) {
 		sched:    newScheduler(cfg.Sched),
 		fullMask: fullMask(cfg.Threads),
 		maxFU:    uint64(cfg.Lat.max()),
-		batch:    cfg.BatchExec && !cfg.ScanSched,
-		batchMem: cfg.BatchMem && cfg.BatchExec && !cfg.ScanSched,
 		mshrs:    cfg.Mem.L1.MSHRs,
 	}
 	for i := range s.cores {
@@ -275,9 +212,6 @@ func New(cfg Config, memory *mem.Memory, hier *mem.Hierarchy) (*Sim, error) {
 			// issue path allocation-free.
 			s.cores[i].mshr = make([]uint64, 0, s.mshrs+64)
 		}
-		// A cohort spans at most the core's warps, so the preallocation
-		// keeps cohort detection allocation-free.
-		s.cores[i].cohort = make([]*warp, 0, cfg.Warps)
 		// Each warp holds at most one heap entry, so the preallocation
 		// keeps the issue path allocation-free.
 		s.cores[i].wakeHeap = make([]wakeEntry, 0, cfg.Warps)
@@ -320,7 +254,6 @@ const (
 	mWritesI
 	mWritesF
 	mIsMem
-	mBatch // pure compute, eligible for uniform-warp cohort execution
 )
 
 func metaOf(in isa.Inst) instMeta {
@@ -348,9 +281,6 @@ func metaOf(in isa.Inst) instMeta {
 	}
 	if in.IsMem() {
 		m |= mIsMem
-	}
-	if batchable(in.Op) {
-		m |= mBatch
 	}
 	return m
 }
@@ -401,13 +331,11 @@ func (s *Sim) Reset() {
 		c.blockMem = false
 		c.stats = CoreStats{}
 		c.md = memDefer{}
-		c.memT = memTemplate{}
 		for j := range c.warps {
 			w := &c.warps[j]
 			w.active = false
 			w.barWait = false
 			w.wakeValid = false
-			w.batched = false
 			w.last = 0
 		}
 	}
@@ -453,7 +381,6 @@ func (s *Sim) resetWarp(w *warp, pc uint32, tmask uint64) {
 	w.active = true
 	w.barWait = false
 	w.wakeValid = false
-	w.batched = false
 	// Clear the issue timestamp so oldest-first gives fresh warps top
 	// priority instead of inheriting a previous launch's (or a previous
 	// incarnation's) history. rr/gto never read it.

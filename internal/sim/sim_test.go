@@ -537,6 +537,61 @@ func TestMisalignedAccessTraps(t *testing.T) {
 	}
 }
 
+// memTrapProg: lane addresses of tid<<20 + 0x8000 — lane 0 in bounds,
+// every higher lane far outside the 1 MiB device memory. The store must
+// trap without committing lane 0's write.
+const memTrapProg = `
+	csrr t0, tid
+	slli t2, t0, 20
+	li   t3, 0x8000
+	add  t2, t2, t3
+	li   t4, 0xdead
+	sw   t4, 0(t2)
+	ecall
+`
+
+// newWhiteboxSim builds a 1-core simulator over a 1 MiB memory with warps
+// 0..warps-1 activated at the program start under tmask.
+func newWhiteboxSim(t *testing.T, cfg Config, prog string, warps int, tmask uint64) *Sim {
+	t.Helper()
+	s := rigNoStart(t, cfg, prog, nil)
+	for w := 0; w < warps; w++ {
+		if err := s.ActivateWarp(0, w, 0x1000, tmask); err != nil {
+			t.Fatal(err)
+		}
+	}
+	return s
+}
+
+// TestMemTrapNoPartialMutation pins the validate-before-mutate contract of
+// executeMem: a store warp that traps on a later lane must leave memory
+// untouched — including the earlier lanes that individually were in bounds
+// — with byte-identical trap records under the tick and event engines. In
+// the four-warp case the other warps are still pending at the same store.
+func TestMemTrapNoPartialMutation(t *testing.T) {
+	run := func(tick bool, warps int) *Trap {
+		t.Helper()
+		cfg := DefaultConfig(1, 4, 4)
+		cfg.TickEngine = tick
+		s := newWhiteboxSim(t, cfg, memTrapProg, warps, 0x3)
+		err := s.Run()
+		var trap *Trap
+		if !errors.As(err, &trap) {
+			t.Fatalf("tick=%v warps=%d: expected out-of-bounds trap, got %v", tick, warps, err)
+		}
+		if v, _ := s.Memory().Read32(0x8000); v != 0 {
+			t.Fatalf("tick=%v warps=%d: lane 0 store committed (%#x) despite lane 1 trap", tick, warps, v)
+		}
+		return trap
+	}
+	for _, warps := range []int{1, 4} {
+		event, tick := run(false, warps), run(true, warps)
+		if *event != *tick {
+			t.Errorf("warps=%d: trap differs:\nevent %+v\ntick  %+v", warps, event, tick)
+		}
+	}
+}
+
 func TestFetchOutsideProgramTraps(t *testing.T) {
 	s := rig(t, cfg1c1w1t(), `
 		li a0, 0

@@ -132,18 +132,6 @@ type Options struct {
 	// wall-clock/differential knob and is not part of the task identity
 	// recorded in checkpoints.
 	TickEngine bool
-	// NoBatchExec disables uniform-warp batched execution
-	// (sim.Config.BatchExec), running every simulation on the per-warp
-	// oracle path. The paths are byte-identical in every record, so — like
-	// TickEngine — this is a wall-clock/differential knob and is not part
-	// of the task identity recorded in checkpoints.
-	NoBatchExec bool
-	// NoBatchMem disables cohort-batched memory execution
-	// (sim.Config.BatchMem), running every load and store on the per-warp
-	// oracle path. The paths are byte-identical in every record, so — like
-	// NoBatchExec — this is a wall-clock/differential knob and is not part
-	// of the task identity recorded in checkpoints.
-	NoBatchMem bool
 	// Checkpoint, if non-empty, is a JSONL file each completed record is
 	// appended to (and flushed) as its simulation finishes, so a killed
 	// campaign preserves the work done. See checkpoint.go for the format.
@@ -629,12 +617,6 @@ func runOne(opts Options, pool *ocl.DevicePool, t Task) Record {
 	}
 	if opts.TickEngine {
 		cfg.TickEngine = true
-	}
-	if opts.NoBatchExec {
-		cfg.BatchExec = false
-	}
-	if opts.NoBatchMem {
-		cfg.BatchMem = false
 	}
 	d, err := pool.Get(cfg)
 	if err != nil {
