@@ -296,10 +296,12 @@ func TestServeWorkKillRecoveryCLI(t *testing.T) {
 		t.Errorf("finisher output missing summary:\n%s", finisher)
 	}
 
+	// Drain serve's output to EOF before Wait, which closes the pipe and
+	// would drop a summary line not yet read.
+	serveLog := <-rest
 	if err := serveCmd.Wait(); err != nil {
 		t.Fatalf("serve exited with %v", err)
 	}
-	serveLog := <-rest
 	m := regexp.MustCompile(`(\d+) leases reissued`).FindStringSubmatch(serveLog)
 	if m == nil {
 		t.Fatalf("serve output missing reissue count:\n%s", serveLog)
