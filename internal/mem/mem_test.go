@@ -55,8 +55,8 @@ func TestMemoryBounds(t *testing.T) {
 	if err := m.WriteBytes(8, make([]byte, 9)); err == nil {
 		t.Error("WriteBytes overflow succeeded")
 	}
-	if _, err := m.ReadBytes(0, 17); err == nil {
-		t.Error("ReadBytes overflow succeeded")
+	if err := m.ReadBytesInto(make([]byte, 17), 0); err == nil {
+		t.Error("ReadBytesInto overflow succeeded")
 	}
 }
 

@@ -4,7 +4,7 @@ import "testing"
 
 // TestMemoryReset pins the pooled-device contract at the memory level: a
 // Reset memory is indistinguishable from a freshly constructed one (size
-// and contents), while keeping the grown backing array.
+// and contents), while keeping its written pages for reuse.
 func TestMemoryReset(t *testing.T) {
 	m := NewMemory(128)
 	m.Grow(4096)

@@ -211,10 +211,10 @@ func (d *Device) ReadUint32(b Buffer, n int) ([]uint32, error) {
 func (d *Device) FlushCaches() { d.hier.Flush() }
 
 // Reset restores the device to its NewDevice state while keeping the large
-// allocations (memory image, cache arrays, register files), so a pooled
-// device can be reused across runs instead of rebuilding the full memory
-// image per run. After Reset the device is byte-identical in behaviour to a
-// freshly constructed one: memory zeroed and shrunk to the heap base, cache
+// allocations (memory pages, cache arrays, register files), so a pooled
+// device can be reused across runs instead of rebuilding them per run.
+// After Reset the device is byte-identical in behaviour to a freshly
+// constructed one: memory zeroed and shrunk to the heap base, cache
 // and DRAM state rewound, simulator cycle/statistics/scheduler state
 // cleared, the mapper back to core.Auto, the dispatch overhead back to the
 // default, and any observer removed.

@@ -8,7 +8,7 @@ import (
 )
 
 // DevicePool reuses devices across runs of a campaign. Building a device
-// allocates the full memory image, cache arrays and per-warp register
+// allocates the memory's page table, cache arrays and per-warp register
 // files; a sweep that revisits each configuration once per (kernel, mapper)
 // pays that cost on every task. The pool keeps idle devices keyed by their
 // exact sim.Config and hands them back after a Reset, which is

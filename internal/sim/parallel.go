@@ -129,6 +129,9 @@ func (s *Sim) runParallel(nw int) error {
 	}
 	deadline := s.cycle + limit
 
+	// Cores store concurrently below; with every page backed up front, no
+	// store installs a page into the shared table.
+	s.memory.Materialize()
 	s.par = true
 	defer func() { s.par = false }()
 

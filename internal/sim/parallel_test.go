@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"encoding/binary"
 	"fmt"
 	"testing"
 
@@ -64,8 +65,8 @@ func runSnapshot(t *testing.T, cfg Config, prog string, activate func(*Sim) erro
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	snap := takeSnapshot(s, hier, cfg.Cores)
-	snap.memData, err = memory.ReadBytes(0x8000, 1<<16)
-	if err != nil {
+	snap.memData = make([]byte, 1<<16)
+	if err := memory.ReadBytesInto(snap.memData, 0x8000); err != nil {
 		t.Fatal(err)
 	}
 	return snap
@@ -188,6 +189,44 @@ work:
 	sw   t4, 0(s0)
 	ecall
 `
+
+// firstTouchProg has every core store, in the same cycle, to a page of its
+// own that nothing has written before (0x8000 + cid*4 KiB).
+const firstTouchProg = `
+	csrr s0, cid
+	slli s0, s0, 12
+	csrr t0, tid
+	slli t0, t0, 2
+	add  s0, s0, t0
+	li   t1, 0x8000
+	add  s0, s0, t1
+	addi t2, t0, 1
+	sw   t2, 0(s0)
+	ecall
+`
+
+// TestFirstTouchPagesParallel pins that concurrent first writes to
+// untouched pages under the parallel engine (4 cores, 2 workers, event and
+// tick engines) match the sequential tick engine in memory and statistics.
+// Device memory allocates a page on its first write; the parallel engine
+// backs every page before its cores run, and under the race detector this
+// test fails if it does not.
+func TestFirstTouchPagesParallel(t *testing.T) {
+	cfg := DefaultConfig(4, 1, 4)
+	cfg.TickEngine = true
+	oracle := runSnapshot(t, cfg, firstTouchProg, activateAll(cfg, 1, 0xF), 1)
+	for i := uint32(0); i < 4*4; i++ {
+		off := (i/4)<<12 + (i%4)*4
+		if got := binary.LittleEndian.Uint32(oracle.memData[off:]); got != (i%4)*4+1 {
+			t.Fatalf("oracle store at %#x = %d, want %d", 0x8000+off, got, (i%4)*4+1)
+		}
+	}
+	for _, tick := range []bool{true, false} {
+		cfg.TickEngine = tick
+		par := runSnapshot(t, cfg, firstTouchProg, activateAll(cfg, 1, 0xF), 2)
+		diffSnapshots(t, fmt.Sprintf("first-touch/tick=%v/workers=2", tick), oracle, par)
+	}
+}
 
 func activateAll(cfg Config, warps int, tmask uint64) func(*Sim) error {
 	return func(s *Sim) error {

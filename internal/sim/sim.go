@@ -232,7 +232,7 @@ func (s *Sim) Config() Config { return s.cfg }
 // Cycle returns the monotonic device cycle counter.
 func (s *Sim) Cycle() uint64 { return s.cycle }
 
-// Memory returns the flat device memory.
+// Memory returns the device memory.
 func (s *Sim) Memory() *mem.Memory { return s.memory }
 
 // Hierarchy returns the cache hierarchy.
