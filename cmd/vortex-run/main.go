@@ -32,7 +32,6 @@ func main() {
 	seed := flag.Int64("seed", 42, "input seed")
 	compare := flag.Bool("compare", false, "run all three mappings and print the ratio table")
 	workers := flag.Int("workers", 0, "host threads simulating cores in parallel (0 = all CPUs, 1 = sequential)")
-	commitWorkers := flag.Int("commit-workers", 0, "commit-phase sharding per L2 bank/DRAM channel (0 = follow -workers, 1 = global single-threaded commit)")
 	sched := flag.String("sched", "rr", "warp scheduler policy: rr, gto, oldest or 2lev")
 	mshrs := flag.Int("mshrs", 0, "outstanding-miss bound per L1 and per L2 bank (0 = unbounded)")
 	l1geom := flag.String("l1", mem.DefaultL1Geometry(), "L1 geometry (<size-KiB>k<ways>w, e.g. 16k4w)")
@@ -60,7 +59,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "vortex-run:", err)
 		os.Exit(1)
 	}
-	dev := devOpts{workers: *workers, commitWorkers: *commitWorkers, sched: schedPol, tickEngine: *tickEngine,
+	dev := devOpts{workers: *workers, sched: schedPol, tickEngine: *tickEngine,
 		mshrs: *mshrs, l1Size: l1Size, l1Ways: l1Ways, prefetch: pfetch}
 	if err := run(*cfgName, *kernel, *lws, *mapper, *scale, *seed, *compare, dev); err != nil {
 		fmt.Fprintln(os.Stderr, "vortex-run:", err)
@@ -87,12 +86,11 @@ func mapperByName(name string) (core.Mapper, error) {
 }
 
 // devOpts bundles the engine knobs forwarded to every device built by this
-// command: host parallelism, commit sharding, the warp scheduler policy,
-// the tick-engine fallback and the memory-side axes (MSHR bound, L1
-// geometry, prefetch policy).
+// command: host parallelism, the warp scheduler policy, the tick-engine
+// fallback and the memory-side axes (MSHR bound, L1 geometry, prefetch
+// policy).
 type devOpts struct {
 	workers        int
-	commitWorkers  int
 	sched          sim.SchedPolicy
 	tickEngine     bool
 	mshrs          int
@@ -102,16 +100,12 @@ type devOpts struct {
 
 // deviceConfig builds the simulator config for hw; workers > 0 overrides
 // the core-parallelism of the simulation engine (default: all host CPUs),
-// commitWorkers > 0 the commit-phase sharding, sched the warp scheduler
-// policy, and tickEngine selects the legacy per-cycle loop over the
-// event-driven engine (byte-identical results).
+// sched the warp scheduler policy, and tickEngine selects the legacy
+// per-cycle loop over the event-driven engine (byte-identical results).
 func deviceConfig(hw core.HWInfo, dev devOpts) sim.Config {
 	cfg := sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads)
 	if dev.workers > 0 {
 		cfg.Workers = dev.workers
-	}
-	if dev.commitWorkers > 0 {
-		cfg.CommitWorkers = dev.commitWorkers
 	}
 	cfg.Sched = dev.sched
 	cfg.TickEngine = dev.tickEngine

@@ -94,38 +94,36 @@ func fatal(args ...any) {
 // validates that by meta comparison — while the latter never cross the
 // wire.
 type campaignFlags struct {
-	scale         *float64
-	nConfigs      *int
-	kernelCSV     *string
-	gridCSV       *string
-	schedCSV      *string
-	mshrsCSV      *string
-	l1CSV         *string
-	prefetchCSV   *string
-	seed          *int64
-	verify        *bool
-	workers       *int
-	simWorkers    *int
-	commitWorkers *int
-	tickEngine    *bool
+	scale       *float64
+	nConfigs    *int
+	kernelCSV   *string
+	gridCSV     *string
+	schedCSV    *string
+	mshrsCSV    *string
+	l1CSV       *string
+	prefetchCSV *string
+	seed        *int64
+	verify      *bool
+	workers     *int
+	simWorkers  *int
+	tickEngine  *bool
 }
 
 func addCampaignFlags(fs *flag.FlagSet) *campaignFlags {
 	return &campaignFlags{
-		scale:         fs.Float64("scale", 1.0, "workload scale factor (1.0 = paper sizes)"),
-		nConfigs:      fs.Int("configs", 450, "number of grid configurations (subsampled deterministically)"),
-		kernelCSV:     fs.String("kernels", "all", "comma-separated kernels or 'all'"),
-		gridCSV:       fs.String("grid", "", "explicit comma-separated config names (e.g. 1c2w2t,4c4w4t); overrides -configs"),
-		schedCSV:      fs.String("sched", "rr", "comma-separated warp-scheduler grid axis (rr, gto, oldest, 2lev)"),
-		mshrsCSV:      fs.String("mshrs", "0", "comma-separated MSHR grid axis: outstanding-miss bound per L1 and per L2 bank (0 = unbounded)"),
-		l1CSV:         fs.String("l1", mem.DefaultL1Geometry(), "comma-separated L1 geometry grid axis (<size-KiB>k<ways>w, e.g. 16k4w,32k8w)"),
-		prefetchCSV:   fs.String("prefetch", "off", "comma-separated L1 prefetch grid axis (off, nextline)"),
-		seed:          fs.Int64("seed", 42, "input generation seed"),
-		verify:        fs.Bool("verify", false, "verify device output against CPU references on every run"),
-		workers:       fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)"),
-		simWorkers:    fs.Int("sim-workers", 0, "core-parallel threads per simulation (0 = auto-divide CPUs, <0 = sequential)"),
-		commitWorkers: fs.Int("commit-workers", 0, "commit-phase sharding per L2 bank/DRAM channel per simulation (0 = follow -sim-workers, 1 = global commit)"),
-		tickEngine:    fs.Bool("tick-engine", false, "run every simulation on the legacy per-cycle tick loop instead of the event-driven device engine (identical records, differential oracle)"),
+		scale:       fs.Float64("scale", 1.0, "workload scale factor (1.0 = paper sizes)"),
+		nConfigs:    fs.Int("configs", 450, "number of grid configurations (subsampled deterministically)"),
+		kernelCSV:   fs.String("kernels", "all", "comma-separated kernels or 'all'"),
+		gridCSV:     fs.String("grid", "", "explicit comma-separated config names (e.g. 1c2w2t,4c4w4t); overrides -configs"),
+		schedCSV:    fs.String("sched", "rr", "comma-separated warp-scheduler grid axis (rr, gto, oldest, 2lev)"),
+		mshrsCSV:    fs.String("mshrs", "0", "comma-separated MSHR grid axis: outstanding-miss bound per L1 and per L2 bank (0 = unbounded)"),
+		l1CSV:       fs.String("l1", mem.DefaultL1Geometry(), "comma-separated L1 geometry grid axis (<size-KiB>k<ways>w, e.g. 16k4w,32k8w)"),
+		prefetchCSV: fs.String("prefetch", "off", "comma-separated L1 prefetch grid axis (off, nextline)"),
+		seed:        fs.Int64("seed", 42, "input generation seed"),
+		verify:      fs.Bool("verify", false, "verify device output against CPU references on every run"),
+		workers:     fs.Int("workers", 0, "parallel simulations (0 = GOMAXPROCS)"),
+		simWorkers:  fs.Int("sim-workers", 0, "core-parallel threads per simulation (0 = auto-divide CPUs, <0 = sequential)"),
+		tickEngine:  fs.Bool("tick-engine", false, "run every simulation on the legacy per-cycle tick loop instead of the event-driven device engine (identical records, differential oracle)"),
 	}
 }
 
@@ -225,19 +223,18 @@ func (cf *campaignFlags) options() (sweep.Options, error) {
 		}
 	}
 	return sweep.Options{
-		Configs:       configs,
-		Kernels:       names,
-		Scheds:        scheds,
-		MSHRs:         mshrs,
-		L1Geoms:       l1s,
-		Prefetch:      prefetch,
-		Scale:         *cf.scale,
-		Seed:          *cf.seed,
-		Verify:        *cf.verify,
-		Workers:       *cf.workers,
-		SimWorkers:    *cf.simWorkers,
-		CommitWorkers: *cf.commitWorkers,
-		TickEngine:    *cf.tickEngine,
+		Configs:    configs,
+		Kernels:    names,
+		Scheds:     scheds,
+		MSHRs:      mshrs,
+		L1Geoms:    l1s,
+		Prefetch:   prefetch,
+		Scale:      *cf.scale,
+		Seed:       *cf.seed,
+		Verify:     *cf.verify,
+		Workers:    *cf.workers,
+		SimWorkers: *cf.simWorkers,
+		TickEngine: *cf.tickEngine,
 	}, nil
 }
 

@@ -41,11 +41,10 @@ func main() {
 	prefetchCSV := flag.String("prefetch", "off", "comma-separated L1 prefetch policies to search (off, nextline)")
 	seed := flag.Int64("seed", 42, "input seed")
 	workers := flag.Int("workers", 0, "host threads simulating cores in parallel per probe (0 = all CPUs, 1 = sequential)")
-	commitWorkers := flag.Int("commit-workers", 0, "commit-phase sharding per L2 bank/DRAM channel (0 = follow -workers, 1 = global single-threaded commit)")
 	tickEngine := flag.Bool("tick-engine", false, "probe on the legacy per-cycle tick loop instead of the event-driven device engine (identical results, differential oracle)")
 	flag.Parse()
 
-	if err := run(*cfgName, *kernel, *scale, *strategy, *sched, *mshrsCSV, *l1CSV, *prefetchCSV, *seed, *workers, *commitWorkers, *tickEngine); err != nil {
+	if err := run(*cfgName, *kernel, *scale, *strategy, *sched, *mshrsCSV, *l1CSV, *prefetchCSV, *seed, *workers, *tickEngine); err != nil {
 		fmt.Fprintln(os.Stderr, "vortex-tuner:", err)
 		os.Exit(1)
 	}
@@ -61,7 +60,7 @@ type axisPoint struct {
 	prefetch       mem.PrefetchPolicy
 }
 
-func run(cfgName, kernel string, scale float64, strategy, schedName, mshrsCSV, l1CSV, prefetchCSV string, seed int64, workers, commitWorkers int, tickEngine bool) error {
+func run(cfgName, kernel string, scale float64, strategy, schedName, mshrsCSV, l1CSV, prefetchCSV string, seed int64, workers int, tickEngine bool) error {
 	hw, err := core.ParseName(cfgName)
 	if err != nil {
 		return err
@@ -74,9 +73,6 @@ func run(cfgName, kernel string, scale float64, strategy, schedName, mshrsCSV, l
 		cfg := sim.DefaultConfig(hw.Cores, hw.Warps, hw.Threads)
 		if workers > 0 {
 			cfg.Workers = workers
-		}
-		if commitWorkers > 0 {
-			cfg.CommitWorkers = commitWorkers
 		}
 		cfg.Sched = pt.sched
 		cfg.TickEngine = tickEngine

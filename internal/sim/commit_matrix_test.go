@@ -1,18 +1,18 @@
 package sim_test
 
-// Kernel-level half of the sharded-commit determinism harness: every
+// Kernel-level half of the bank x channel determinism harness: every
 // registry kernel, run end-to-end through the OpenCL-style runtime on a
 // multi-core device, must produce byte-identical launch reports and
-// memory-system state when the commit phase is sharded per L2 bank and
-// DRAM channel (CommitWorkers > 1) as when it runs the sequential engine —
-// across a {1,2,4,8} bank x {1,2,4} channel matrix. The CI race-detector
-// step runs this file, so the bank/channel workers are also checked for
-// data races on every configuration.
+// memory-system state on the parallel engine (deferred misses committed at
+// the end of each cycle) as on the sequential engine — across a {1,2,4,8}
+// bank x {1,2,4} channel matrix. The CI race-detector step runs this file,
+// so the issue workers are also checked for data races on every
+// configuration.
 //
 // internal/sim/parallel_test.go pins the same property at the
 // bare-simulator level (including the L2-disabled bypass);
-// internal/mem/commit_test.go pins the underlying decomposition at the
-// memory-system level.
+// internal/mem/commit_test.go pins banked-vs-monolithic L2 equivalence at
+// the memory-system level.
 
 import (
 	"fmt"
@@ -51,14 +51,13 @@ type kernelRun struct {
 	channels []mem.DRAMStats
 }
 
-func runMatrixKernel(t *testing.T, name string, cell matrixCell, workers, commitWorkers int) kernelRun {
+func runMatrixKernel(t *testing.T, name string, cell matrixCell, workers int) kernelRun {
 	t.Helper()
 	cfg := sim.DefaultConfig(4, 4, 8)
 	cfg.Mem.L2Banks = cell.banks
 	cfg.Mem.DRAM.Channels = cell.channels
 	cfg.Workers = workers
-	cfg.CommitWorkers = commitWorkers
-	return runMatrixKernelCfg(t, name, cfg, fmt.Sprintf("%+v workers=%d commit=%d", cell, workers, commitWorkers))
+	return runMatrixKernelCfg(t, name, cfg, fmt.Sprintf("%+v workers=%d", cell, workers))
 }
 
 // runMatrixKernelCfg runs one registry kernel end-to-end on an explicit
@@ -133,6 +132,9 @@ func diffKernelRuns(t *testing.T, name string, seq, par kernelRun) {
 // where runs are fast and exhaustive on kernels everywhere.
 var cheapMatrixKernels = map[string]bool{"vecadd": true, "relu": true, "saxpy": true}
 
+// TestParallelShardedCommitKernelMatrix diffs the parallel engine against
+// the sequential engine over the bank x channel matrix, which
+// TestEventEngineKernelMatrix (default geometry only) does not cover.
 func TestParallelShardedCommitKernelMatrix(t *testing.T) {
 	for _, name := range kernels.Names() {
 		name := name
@@ -143,8 +145,8 @@ func TestParallelShardedCommitKernelMatrix(t *testing.T) {
 			}
 			for _, cell := range cells {
 				label := fmt.Sprintf("%s/banks=%d/channels=%d", name, cell.banks, cell.channels)
-				seq := runMatrixKernel(t, name, cell, 1, 1)
-				par := runMatrixKernel(t, name, cell, 4, 4)
+				seq := runMatrixKernel(t, name, cell, 1)
+				par := runMatrixKernel(t, name, cell, 4)
 				diffKernelRuns(t, label, seq, par)
 			}
 		})

@@ -132,17 +132,6 @@ type Config struct {
 	// byte-identical cycle counts and statistics at any worker count (see
 	// internal/sim/README.md for the determinism contract).
 	Workers int
-
-	// CommitWorkers shards the parallel engine's end-of-cycle commit phase
-	// by L2 bank and DRAM channel. 0 follows Workers and lets the engine
-	// fall back to the single-threaded global commit on cycles with little
-	// deferred work; 1 forces the single-threaded global commit on every
-	// cycle; any larger count (clamped to the issue worker pool) forces the
-	// sharded commit whenever a cycle defers memory work. All settings are
-	// byte-identical for race-free kernels — the sharded commit preserves
-	// the global (cycle, core) request order restricted to each bank and
-	// channel, the only ordering the memory model observes.
-	CommitWorkers int
 }
 
 // DefaultConfig returns the default device: cores x warps x threads with the
@@ -201,9 +190,6 @@ func (c Config) Validate() error {
 	}
 	if c.Workers < 0 {
 		return fmt.Errorf("sim: negative worker count %d", c.Workers)
-	}
-	if c.CommitWorkers < 0 {
-		return fmt.Errorf("sim: negative commit worker count %d", c.CommitWorkers)
 	}
 	return nil
 }

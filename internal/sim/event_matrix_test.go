@@ -27,7 +27,6 @@ func runEngineKernel(t *testing.T, name string, tick bool, workers int) kernelRu
 	cfg := sim.DefaultConfig(4, 8, 8)
 	cfg.TickEngine = tick
 	cfg.Workers = workers
-	cfg.CommitWorkers = workers
 	return runMatrixKernelCfg(t, name, cfg, fmt.Sprintf("tick=%v workers=%d", tick, workers))
 }
 

@@ -158,6 +158,7 @@ func TestEventDeadlockBarrier(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cfg.Workers = workers
 		s, err := New(cfg, memory, hier)
 		if err != nil {
 			t.Fatal(err)
@@ -168,7 +169,7 @@ func TestEventDeadlockBarrier(t *testing.T) {
 		if err := activateAll(cfg, 2, 0x3)(s); err != nil {
 			t.Fatal(err)
 		}
-		trap, ok := s.RunParallel(workers).(*Trap)
+		trap, ok := s.Run().(*Trap)
 		if !ok {
 			t.Fatalf("tick=%v workers=%d: want a deadlock *Trap", tick, workers)
 		}
@@ -238,6 +239,7 @@ func TestEventObserverStreamMatchesTick(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cfg.Workers = workers
 		s, err := New(cfg, memory, hier)
 		if err != nil {
 			t.Fatal(err)
@@ -250,7 +252,7 @@ func TestEventObserverStreamMatchesTick(t *testing.T) {
 		if err := activateAll(cfg, 2, 0xF)(s); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.RunParallel(workers); err != nil {
+		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return evs
@@ -292,6 +294,7 @@ func TestEventMaxCyclesDeadline(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		cfg.Workers = workers
 		s, err := New(cfg, memory, hier)
 		if err != nil {
 			t.Fatal(err)
@@ -302,7 +305,7 @@ func TestEventMaxCyclesDeadline(t *testing.T) {
 		if err := activateAll(cfg, 2, 0xF)(s); err != nil {
 			t.Fatal(err)
 		}
-		return s, s.RunParallel(workers)
+		return s, s.Run()
 	}
 	for _, limit := range []uint64{97, 100} {
 		oracleSim, oracleErr := run(true, 1, limit)

@@ -434,7 +434,7 @@ func (s *Sim) memTiming(c *simCore, wid, rd int, isStore, isLoad, fp bool, lines
 			if s.mshrs > 0 && !r.L1Hit {
 				// Allocate an MSHR per L1 miss (stores allocate too:
 				// write-allocate fills). The parallel engine appends the
-				// same entries at commit time (commitPatch/commitDeferred),
+				// same entries at commit time (commitDeferred),
 				// when the miss completions become known — the gate is next
 				// consulted at the core's next issue, after both.
 				c.mshr = append(c.mshr, r.Done)

@@ -37,7 +37,6 @@ func runMemAxisKernel(t *testing.T, name string, pt int, tick bool, workers int)
 	cfg := sim.DefaultConfig(4, 8, 8)
 	cfg.TickEngine = tick
 	cfg.Workers = workers
-	cfg.CommitWorkers = workers
 	cfg.Mem.L1.MSHRs = p.mshrs
 	cfg.Mem.L2.MSHRs = p.mshrs
 	if p.l1 != "" {

@@ -97,9 +97,11 @@ func TestMemAxisScanOracle(t *testing.T) {
 	}
 }
 
-// TestMemAxisShardedCommit pins the memory axes against the sharded commit
-// engine: the bank MSHR is bank-owned and the prefetch fill core-owned, so
-// a CommitWorkers > 1 run must stay byte-identical to the global order.
+// TestMemAxisShardedCommit pins the memory axes on the parallel engine at
+// a 4-bank x 2-channel geometry, which TestMemAxisEngineDifferential's
+// default 8 x 4 does not cover: the bank MSHR windows and prefetch fills
+// must come out byte-identical to the sequential engine at any worker
+// count.
 func TestMemAxisShardedCommit(t *testing.T) {
 	for _, pt := range memAxisPoints() {
 		t.Run(pt.name, func(t *testing.T) {
@@ -107,7 +109,6 @@ func TestMemAxisShardedCommit(t *testing.T) {
 			cfg.Mem.L2Banks = 4
 			cfg.Mem.DRAM.Channels = 2
 			seq := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF), 1)
-			cfg.CommitWorkers = 4
 			for _, workers := range []int{2, 4} {
 				par := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF), workers)
 				diffSnapshots(t, fmt.Sprintf("%s/workers=%d", pt.name, workers), seq, par)

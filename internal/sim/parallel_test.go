@@ -51,6 +51,7 @@ func runSnapshot(t *testing.T, cfg Config, prog string, activate func(*Sim) erro
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Workers = workers
 	s, err := New(cfg, memory, hier)
 	if err != nil {
 		t.Fatal(err)
@@ -61,7 +62,7 @@ func runSnapshot(t *testing.T, cfg Config, prog string, activate func(*Sim) erro
 	if err := activate(s); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.RunParallel(workers); err != nil {
+	if err := s.Run(); err != nil {
 		t.Fatalf("workers=%d: %v", workers, err)
 	}
 	snap := takeSnapshot(s, hier, cfg.Cores)
@@ -284,13 +285,12 @@ func TestParallelMatchesSequential(t *testing.T) {
 	}
 }
 
-// TestParallelShardedCommitMatrix is the bare-simulator half of the
-// sharded-commit determinism harness: across {1,2,4,8} L2 banks x {1,2,4}
-// DRAM channels (plus the L2-disabled bypass), a run whose commit phase is
-// forced onto the bank/channel-sharded path (CommitWorkers > 1) must be
-// byte-identical — cycles, per-core stats, per-bank L2 stats, per-channel
-// DRAM stats, memory contents — to the sequential engine's global order.
-func TestParallelShardedCommitMatrix(t *testing.T) {
+// TestParallelBankChannelMatrix pins the parallel engine's deferred commit
+// against the sequential engine across {1,2,4,8} L2 banks x {1,2,4} DRAM
+// channels (plus the L2-disabled bypass): cycles, per-core stats, per-bank
+// L2 stats, per-channel DRAM stats and memory contents must be
+// byte-identical.
+func TestParallelBankChannelMatrix(t *testing.T) {
 	for _, banks := range []int{1, 2, 4, 8} {
 		for _, channels := range []int{1, 2, 4} {
 			name := fmt.Sprintf("banks=%d/channels=%d", banks, channels)
@@ -299,7 +299,6 @@ func TestParallelShardedCommitMatrix(t *testing.T) {
 				cfg.Mem.L2Banks = banks
 				cfg.Mem.DRAM.Channels = channels
 				seq := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF), 1)
-				cfg.CommitWorkers = 4
 				for _, workers := range []int{2, 4} {
 					par := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF), workers)
 					diffSnapshots(t, fmt.Sprintf("%s/workers=%d", name, workers), seq, par)
@@ -312,14 +311,12 @@ func TestParallelShardedCommitMatrix(t *testing.T) {
 		cfg.Mem.L2Disabled = true
 		cfg.Mem.DRAM.Channels = 3 // non-power-of-two: channels span banks
 		seq := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF), 1)
-		cfg.CommitWorkers = 4
 		par := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 4, 0xF), 4)
 		diffSnapshots(t, "l2-disabled", seq, par)
 	})
 	// Writeback-heavy stress: a tiny L2 forces dirty evictions through both
 	// bank-victim paths (absorb-side and fill-side), GTO scheduling, many
-	// cores, and a commit-worker count that neither divides the bank count
-	// nor the channel count.
+	// cores, and a 3-worker pool whose core ranges are uneven.
 	t.Run("writeback-stress", func(t *testing.T) {
 		cfg := DefaultConfig(8, 2, 4)
 		cfg.Sched = SchedGTO
@@ -328,7 +325,6 @@ func TestParallelShardedCommitMatrix(t *testing.T) {
 		cfg.Mem.L2Banks = 8
 		cfg.Mem.DRAM.Channels = 5
 		seq := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 2, 0xF), 1)
-		cfg.CommitWorkers = 3
 		for _, workers := range []int{3, 8} {
 			par := runSnapshot(t, cfg, diffMemProg, activateAll(cfg, 2, 0xF), workers)
 			diffSnapshots(t, fmt.Sprintf("writeback-stress/workers=%d", workers), seq, par)
@@ -344,13 +340,15 @@ func TestParallelNoCoalesce(t *testing.T) {
 		p := asm.MustAssemble(diffMemProg, 0x1000, nil)
 		memory := mem.NewMemory(1 << 20)
 		hier, _ := mem.NewHierarchy(cfg.Cores, cfg.Mem)
+		cfg := cfg
+		cfg.Workers = workers
 		s, _ := New(cfg, memory, hier)
 		s.NoCoalesce = true
 		s.LoadProgram(p.Base, p.Insts)
 		if err := activateAll(cfg, 2, 0xF)(s); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.RunParallel(workers); err != nil {
+		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return takeSnapshot(s, hier, cfg.Cores)
@@ -376,6 +374,7 @@ func TestParallelTrapReturnsLowestCore(t *testing.T) {
 		p := asm.MustAssemble(prog, 0x1000, nil)
 		memory := mem.NewMemory(1 << 16)
 		hier, _ := mem.NewHierarchy(cfg.Cores, cfg.Mem)
+		cfg.Workers = workers
 		s, _ := New(cfg, memory, hier)
 		s.LoadProgram(p.Base, p.Insts)
 		for c := 0; c < 2; c++ {
@@ -383,7 +382,7 @@ func TestParallelTrapReturnsLowestCore(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		err := s.RunParallel(workers)
+		err := s.Run()
 		trap, ok := err.(*Trap)
 		if !ok {
 			t.Fatalf("workers=%d: expected trap, got %v", workers, err)

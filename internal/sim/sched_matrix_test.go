@@ -28,7 +28,6 @@ func runSchedKernel(t *testing.T, name string, sched sim.SchedPolicy, scan bool,
 	cfg.Sched = sched
 	cfg.ScanSched = scan
 	cfg.Workers = workers
-	cfg.CommitWorkers = workers
 	return runMatrixKernelCfg(t, name, cfg, fmt.Sprintf("%s scan=%v", sched, scan))
 }
 

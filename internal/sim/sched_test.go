@@ -184,12 +184,14 @@ func TestObserverForcesSequentialOrder(t *testing.T) {
 	cfg := DefaultConfig(4, 2, 4)
 	collect := func(workers int) []IssueEvent {
 		t.Helper()
+		cfg := cfg
 		p := asm.MustAssemble(diffMemProg, 0x1000, nil)
 		memory := mem.NewMemory(1 << 20)
 		hier, err := mem.NewHierarchy(cfg.Cores, cfg.Mem)
 		if err != nil {
 			t.Fatal(err)
 		}
+		cfg.Workers = workers
 		s, err := New(cfg, memory, hier)
 		if err != nil {
 			t.Fatal(err)
@@ -202,7 +204,7 @@ func TestObserverForcesSequentialOrder(t *testing.T) {
 		if err := activateAll(cfg, 2, 0xF)(s); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.RunParallel(workers); err != nil {
+		if err := s.Run(); err != nil {
 			t.Fatal(err)
 		}
 		return evs
@@ -254,6 +256,7 @@ func TestDeadlockTrapBarrierNeverFills(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			cfg.Workers = workers
 			s, err := New(cfg, memory, hier)
 			if err != nil {
 				t.Fatal(err)
@@ -264,7 +267,7 @@ func TestDeadlockTrapBarrierNeverFills(t *testing.T) {
 			if err := activateAll(cfg, 2, 0x3)(s); err != nil {
 				t.Fatal(err)
 			}
-			trap, ok := s.RunParallel(workers).(*Trap)
+			trap, ok := s.Run().(*Trap)
 			if !ok {
 				t.Fatalf("%s: want a deadlock *Trap, got %v", name, trap)
 			}

@@ -98,11 +98,6 @@ type memDefer struct {
 	nMiss       int
 	partialDone uint64 // max completion over the L1 hits
 	miss        [64]mem.MissInfo
-	// missDone[i] is miss[i]'s completion cycle, written during the commit
-	// phase by the bank worker (L2 hit) or channel worker (DRAM fetch) that
-	// owns the miss — exactly one writer per slot — and folded into the
-	// load's scoreboard entry by the coordinator's patch step.
-	missDone [64]uint64
 }
 
 type simCore struct {
@@ -167,14 +162,6 @@ type Sim struct {
 	maxFU    uint64 // cached Lat.max(): the longest FU latency, for stall attribution
 	par      bool   // a parallel run is in flight: defer shared-memory timing
 	mshrs    int    // cached cfg.Mem.L1.MSHRs: per-core outstanding-miss bound (0 = unbounded)
-
-	// Sharded-commit scratch (parallel engine), reused across cycles: the
-	// cores with deferred memory work this cycle, the per-bank DRAM op
-	// queues filled by bank workers, and the per-channel queues each
-	// channel worker gathers and drains in global order.
-	commitList []int
-	bankOps    [][]dramOp
-	chanOps    [][]dramOp
 
 	// Sequential event engine's core wake queue (event.go), kept on the
 	// Sim so its buffers are reused across Run calls: the issue path
@@ -434,15 +421,6 @@ const noWake = ^uint64(0)
 // TestObserverForcesSequentialOrder).
 func (s *Sim) Run() error {
 	if w := s.resolveWorkers(s.cfg.Workers); w > 1 {
-		return s.runParallel(w)
-	}
-	return s.runSequential()
-}
-
-// RunParallel runs with an explicit worker count, overriding Config.Workers.
-// workers <= 1 forces the sequential engine.
-func (s *Sim) RunParallel(workers int) error {
-	if w := s.resolveWorkers(workers); w > 1 {
 		return s.runParallel(w)
 	}
 	return s.runSequential()

@@ -105,12 +105,6 @@ type Options struct {
 	// to each device — useful for the huge tail configurations. Negative
 	// forces the sequential engine.
 	SimWorkers int
-	// CommitWorkers is the per-simulation commit-phase sharding
-	// (sim.Config.CommitWorkers): 0 follows SimWorkers with an automatic
-	// serial fallback on light cycles, 1 forces the single-threaded global
-	// commit, larger counts force the bank/channel-sharded commit. All
-	// settings produce identical simulation results.
-	CommitWorkers int
 	// Progress, if non-nil, is called after each completed run.
 	Progress func(done, total int)
 	// ConfigTemplate customizes the non-geometry simulator parameters
@@ -612,9 +606,6 @@ func runOne(opts Options, pool *ocl.DevicePool, t Task) Record {
 	// The sweep already task-parallelizes across runs; share the host CPUs
 	// between the two levels instead of oversubscribing (Options.SimWorkers).
 	cfg.Workers = opts.SimWorkers
-	if opts.CommitWorkers > 0 {
-		cfg.CommitWorkers = opts.CommitWorkers
-	}
 	if opts.TickEngine {
 		cfg.TickEngine = true
 	}

@@ -130,31 +130,30 @@ func smallSweep(t *testing.T, names []string) *Results {
 	return res
 }
 
-// TestSweepShardedCommitDeterminism pins that the CommitWorkers plumbing
+// TestSweepShardedCommitDeterminism pins that the SimWorkers plumbing
 // reaches the simulator and cannot change sweep results: a sweep whose
-// devices run the parallel engine with a forced bank/channel-sharded
-// commit must reproduce the sequential sweep record for record.
+// devices run the parallel engine must reproduce the sequential sweep
+// record for record.
 func TestSweepShardedCommitDeterminism(t *testing.T) {
-	run := func(simWorkers, commitWorkers int) *Results {
+	run := func(simWorkers int) *Results {
 		res, err := Run(Options{
 			Configs: []core.HWInfo{
 				{Cores: 2, Warps: 2, Threads: 4},
 				{Cores: 4, Warps: 4, Threads: 4},
 			},
-			Kernels:       []string{"vecadd", "saxpy"},
-			Scale:         0.05,
-			Seed:          7,
-			Workers:       1,
-			SimWorkers:    simWorkers,
-			CommitWorkers: commitWorkers,
+			Kernels:    []string{"vecadd", "saxpy"},
+			Scale:      0.05,
+			Seed:       7,
+			Workers:    1,
+			SimWorkers: simWorkers,
 		})
 		if err != nil {
 			t.Fatal(err)
 		}
 		return res
 	}
-	seq := run(-1, 0) // sequential engine
-	par := run(4, 4)  // parallel engine, forced sharded commit
+	seq := run(-1) // sequential engine
+	par := run(4)  // parallel engine
 	for i := range seq.Records {
 		a, b := seq.Records[i], par.Records[i]
 		if a.Cycles != b.Cycles || a.Instrs != b.Instrs ||
